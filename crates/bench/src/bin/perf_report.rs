@@ -292,11 +292,11 @@ where
     // (the returned history/solution vectors) cancel. With the warm
     // workspace this is exactly zero.
     let short = iters / 4;
-    let s0 = alloc::stats();
+    let s0 = alloc::thread_stats();
     let _ = std::hint::black_box(fgmres_with(a, precond, b, &x0, &cfg(short), &mut ws));
-    let s1 = alloc::stats();
+    let s1 = alloc::thread_stats();
     let _ = std::hint::black_box(fgmres_with(a, precond, b, &x0, &cfg(iters), &mut ws));
-    let s2 = alloc::stats();
+    let s2 = alloc::thread_stats();
     let d_short = s1.since(s0);
     let d_long = s2.since(s1);
     let di = (iters - short) as f64;

@@ -33,7 +33,6 @@ use parfem_precond::twolevel::{
     build_coarse_basis, CoarseBasis, CoarsePartGeometry, CoarseReduce, CoarseSolver, CoarseSpec,
 };
 use parfem_sparse::{CooMatrix, CsrMatrix};
-use std::collections::HashMap;
 use std::sync::Arc;
 
 impl<'a, C: Communicator> CoarseReduce for EddOperator<'a, C> {
@@ -168,32 +167,10 @@ pub fn edd_coarse_basis(
 /// interfaces, so the all-reduced partial sums reproduce `Ẑᵀ v` exactly
 /// once each shared entry is counted `1/mult` times per sharing rank.
 pub fn edd_coarse_solvers(basis: &CoarseBasis, systems: &[SubdomainSystem]) -> Vec<CoarseSolver> {
+    let mut local = LocalIndex::new(systems.iter().map(|s| s.global_dofs.as_slice()));
     systems
         .iter()
-        .map(|sys| {
-            let local: HashMap<usize, usize> = sys
-                .global_dofs
-                .iter()
-                .enumerate()
-                .map(|(l, &g)| (g, l))
-                .collect();
-            let mut restrict = Vec::new();
-            let mut prolong = Vec::new();
-            for (m, col) in basis.modes.iter().enumerate() {
-                for &(g, v) in col {
-                    if let Some(&l) = local.get(&g) {
-                        restrict.push((l, m, v / sys.multiplicity[l]));
-                        prolong.push((l, m, v));
-                    }
-                }
-            }
-            CoarseSolver::new(
-                basis.n_modes(),
-                restrict,
-                prolong,
-                Arc::clone(&basis.factor),
-            )
-        })
+        .map(|sys| local.solver(basis, &sys.global_dofs, Some(&sys.multiplicity)))
         .collect()
 }
 
@@ -233,27 +210,63 @@ pub fn rdd_coarse_basis(
 /// transpose pair over each rank's owned rows (unit weights); the
 /// all-reduce then concatenates the disjoint partial sums.
 pub fn rdd_coarse_solvers(basis: &CoarseBasis, systems: &[RddSystem]) -> Vec<CoarseSolver> {
+    let mut local = LocalIndex::new(systems.iter().map(|s| s.rows.as_slice()));
     systems
         .iter()
-        .map(|sys| {
-            let local: HashMap<usize, usize> =
-                sys.rows.iter().enumerate().map(|(l, &g)| (g, l)).collect();
-            let mut restrict = Vec::new();
-            let mut prolong = Vec::new();
-            for (m, col) in basis.modes.iter().enumerate() {
-                for &(g, v) in col {
-                    if let Some(&l) = local.get(&g) {
-                        restrict.push((l, m, v));
-                        prolong.push((l, m, v));
-                    }
+        .map(|sys| local.solver(basis, &sys.rows, None))
+        .collect()
+}
+
+/// A dense global → local row map, reused across ranks: `UNMAPPED`
+/// everywhere except the rows of the rank being restricted, which are
+/// mapped before and cleared after each [`LocalIndex::solver`] call.
+struct LocalIndex(Vec<usize>);
+
+impl LocalIndex {
+    const UNMAPPED: usize = usize::MAX;
+
+    /// Sized to cover every rank's rows; basis dofs past the end belong to
+    /// no rank.
+    fn new<'s>(rank_rows: impl Iterator<Item = &'s [usize]>) -> Self {
+        let n = rank_rows
+            .flat_map(|rows| rows.iter().map(|&g| g + 1))
+            .max()
+            .unwrap_or(0);
+        LocalIndex(vec![Self::UNMAPPED; n])
+    }
+
+    /// The [`CoarseSolver`] of one rank owning global `rows` (local row
+    /// `l` is `rows[l]`): every basis entry on a local row goes to the
+    /// prolongation, and to the restriction divided by `mult[l]` when the
+    /// rank's vectors replicate shared rows.
+    fn solver(
+        &mut self,
+        basis: &CoarseBasis,
+        rows: &[usize],
+        mult: Option<&[f64]>,
+    ) -> CoarseSolver {
+        for (l, &g) in rows.iter().enumerate() {
+            self.0[g] = l;
+        }
+        let mut restrict = Vec::new();
+        let mut prolong = Vec::new();
+        for (m, col) in basis.modes.iter().enumerate() {
+            for &(g, v) in col {
+                let l = self.0.get(g).copied().unwrap_or(Self::UNMAPPED);
+                if l != Self::UNMAPPED {
+                    restrict.push((l, m, mult.map_or(v, |mu| v / mu[l])));
+                    prolong.push((l, m, v));
                 }
             }
-            CoarseSolver::new(
-                basis.n_modes(),
-                restrict,
-                prolong,
-                Arc::clone(&basis.factor),
-            )
-        })
-        .collect()
+        }
+        for &g in rows {
+            self.0[g] = Self::UNMAPPED;
+        }
+        CoarseSolver::new(
+            basis.n_modes(),
+            restrict,
+            prolong,
+            Arc::clone(&basis.factor),
+        )
+    }
 }

@@ -55,7 +55,7 @@ use parfem_msg::{
     try_run_ranks, Communicator, FaultPlan, FaultStats, FaultyComm, MachineModel, RankReport,
     RunOptions, ThreadComm,
 };
-use parfem_precond::twolevel::{CoarseSolver, CoarseSpec};
+use parfem_precond::twolevel::{CoarseBasis, CoarseSolver, CoarseSpec};
 pub use parfem_precond::PrecondSpec;
 
 use parfem_sparse::skyline::DEFAULT_PIVOT_TOL;
@@ -864,15 +864,44 @@ fn record_session_outcome<T>(
 
 /// Runs `f` under a named host-side (wall-clock) span.
 fn host_span<R>(sink: &TraceSink, name: &str, f: impl FnOnce() -> R) -> R {
+    host_span_with(sink, name, f, |_| Vec::new())
+}
+
+/// [`host_span`] whose closing event carries `fields(&result)`, evaluated
+/// only when tracing is on.
+fn host_span_with<R>(
+    sink: &TraceSink,
+    name: &str,
+    f: impl FnOnce() -> R,
+    fields: impl FnOnce(&R) -> Vec<(String, Value)>,
+) -> R {
     let tracer = sink.host_tracer();
     if let Some(t) = &tracer {
         t.span_begin(name, 0.0);
     }
     let r = f();
     if let Some(t) = &tracer {
-        t.span_end(name, 0.0);
+        t.span_end_with(name, 0.0, fields(&r));
     }
     r
+}
+
+/// The fields the `coarse-build` host span closes with: `coarse_modes`,
+/// `coarse_skipped_modes` (pivoted out of the Galerkin factorization),
+/// `smoothing_passes` and `prolong_nnz` (entries over all modes).
+fn coarse_build_fields(cs: &CoarseSpec, basis: &CoarseBasis) -> Vec<(String, Value)> {
+    vec![
+        ("coarse_modes".into(), basis.n_modes().into()),
+        (
+            "coarse_skipped_modes".into(),
+            basis.factor.skipped_modes().len().into(),
+        ),
+        ("smoothing_passes".into(), cs.smoothing_passes().into()),
+        (
+            "prolong_nnz".into(),
+            basis.modes.iter().map(Vec::len).sum::<usize>().into(),
+        ),
+    ]
 }
 
 /// The coarse-space component of a two-level preconditioner spec, if any.
@@ -895,17 +924,23 @@ fn build_edd_coarse(
     sink: &TraceSink,
 ) -> Option<Vec<CoarseSolver>> {
     coarse_spec(spec).map(|cs| {
-        host_span(sink, "coarse-build", || {
-            let basis = edd_coarse_basis(
-                cs,
-                systems,
-                n_dofs,
-                coords,
-                dofs_per_node,
-                DEFAULT_PIVOT_TOL,
-            );
-            edd_coarse_solvers(&basis, systems)
-        })
+        host_span_with(
+            sink,
+            "coarse-build",
+            || {
+                let basis = edd_coarse_basis(
+                    cs,
+                    systems,
+                    n_dofs,
+                    coords,
+                    dofs_per_node,
+                    DEFAULT_PIVOT_TOL,
+                );
+                (edd_coarse_solvers(&basis, systems), basis)
+            },
+            |(_, basis)| coarse_build_fields(cs, basis),
+        )
+        .0
     })
 }
 
@@ -921,12 +956,18 @@ fn build_rdd_coarse(
     sink: &TraceSink,
 ) -> Option<Vec<CoarseSolver>> {
     coarse_spec(spec).map(|cs| {
-        host_span(sink, "coarse-build", || {
-            let coords = p.coords3();
-            let basis =
-                rdd_coarse_basis(cs, a, d, node_part, p.dof_map, &coords, DEFAULT_PIVOT_TOL);
-            rdd_coarse_solvers(&basis, systems)
-        })
+        host_span_with(
+            sink,
+            "coarse-build",
+            || {
+                let coords = p.coords3();
+                let basis =
+                    rdd_coarse_basis(cs, a, d, node_part, p.dof_map, &coords, DEFAULT_PIVOT_TOL);
+                (rdd_coarse_solvers(&basis, systems), basis)
+            },
+            |(_, basis)| coarse_build_fields(cs, basis),
+        )
+        .0
     })
 }
 

@@ -9,13 +9,16 @@
 //! the modeled parallel time is attributed to compute, a message in
 //! flight, or a collective on some rank.
 
-use parfem_dd::{Problem, SolveSession, SolverConfig, Strategy};
-use parfem_fem::{assembly, Material};
+use parfem_dd::{edd_coarse_basis, PrecondSpec, Problem, SolveSession, SolverConfig, Strategy};
+use parfem_fem::{assembly, Material, SubdomainSystem};
 use parfem_krylov::gmres::GmresConfig;
 use parfem_mesh::{DofMap, Edge, ElementPartition, QuadMesh};
 use parfem_msg::{CommStats, FaultPlan, MachineModel};
+use parfem_precond::twolevel::CoarseSpec;
+use parfem_sparse::skyline::DEFAULT_PIVOT_TOL;
 use parfem_trace::{
-    export_chrome_trace, json, CritPath, MetricsRegistry, SegmentKind, TraceReport, TraceSink,
+    export_chrome_trace, json, jsonl, render_phase_table, CritPath, MetricsRegistry, SegmentKind,
+    TraceReport, TraceSink,
 };
 use std::time::Duration;
 
@@ -299,4 +302,85 @@ fn disabled_registry_stays_empty() {
         None
     );
     assert_eq!(metrics.render(), "");
+}
+
+/// The `coarse-build` host span describes the basis it built: its closing
+/// event carries the mode count, the modes the Galerkin factorization
+/// pivoted out, the smoothing passes and the prolongator's entry count.
+/// They survive the JSON-Lines round trip, match the basis built directly,
+/// and `parfem report`'s phase table prints them.
+#[test]
+fn coarse_build_span_describes_the_basis() {
+    let (mesh, dm, mat, loads) = problem(24, 6);
+    let part = ElementPartition::strips_x(&mesh, 3);
+    let sink = TraceSink::recording();
+    let out = SolveSession::new(Problem::new(&mesh, &dm, &mat, &loads))
+        .strategy(Strategy::Edd(part.clone()))
+        .config(SolverConfig {
+            precond: PrecondSpec::parse("twolevel:rbm.s3:gls-3").unwrap(),
+            ..cfg()
+        })
+        .trace(&sink)
+        .run()
+        .expect("fault-free two-level solve");
+    assert!(out.history.converged());
+
+    let mut buf = Vec::new();
+    sink.write_jsonl(&mut buf).unwrap();
+    let events = jsonl::decode_all(std::str::from_utf8(&buf).unwrap()).unwrap();
+    let report = TraceReport::from_events(&events);
+    let span = report
+        .host_phases
+        .iter()
+        .find(|p| p.name == "coarse-build")
+        .expect("a two-level solve records a coarse-build span");
+    let field = |key: &str| {
+        span.fields
+            .iter()
+            .find(|(k, _)| k == key)
+            .and_then(|(_, v)| v.as_u64())
+            .unwrap_or_else(|| panic!("coarse-build span lacks {key}: {:?}", span.fields))
+    };
+
+    let systems: Vec<SubdomainSystem> = part
+        .subdomains(&mesh)
+        .iter()
+        .map(|s| SubdomainSystem::build(&mesh, &dm, &mat, s, &loads, None))
+        .collect();
+    let coords = Problem::new(&mesh, &dm, &mat, &loads).coords3();
+    let basis = edd_coarse_basis(
+        &CoarseSpec::parse("rbm.s3").unwrap(),
+        &systems,
+        dm.n_dofs(),
+        Some(&coords),
+        dm.dofs_per_node(),
+        DEFAULT_PIVOT_TOL,
+    );
+    assert_eq!(
+        field("coarse_modes"),
+        9,
+        "3 rigid-body modes on each of 3 parts"
+    );
+    assert_eq!(field("coarse_modes"), basis.n_modes() as u64);
+    assert_eq!(
+        field("coarse_skipped_modes"),
+        basis.factor.skipped_modes().len() as u64
+    );
+    assert_eq!(field("smoothing_passes"), 3);
+    let nnz: usize = basis.modes.iter().map(Vec::len).sum();
+    assert_eq!(field("prolong_nnz"), nnz as u64);
+
+    let table = render_phase_table(&report);
+    let line = table
+        .lines()
+        .find(|l| l.contains("coarse-build"))
+        .expect("phase table lists coarse-build");
+    for key in [
+        "coarse_modes=9",
+        "coarse_skipped_modes=",
+        "smoothing_passes=3",
+        &format!("prolong_nnz={nnz}"),
+    ] {
+        assert!(line.contains(key), "{key} missing from: {line}");
+    }
 }

@@ -29,11 +29,13 @@ fn laplacian(n: usize) -> CsrMatrix {
 
 /// Runs one solve and returns the allocation-call delta it caused.
 ///
-/// The counters are process-global, so unrelated allocations (libtest's
-/// harness machinery, lazy std initialization) can land inside the measured
-/// window. Noise only ever *adds* counts, so the minimum over a few repeats
-/// recovers the deterministic per-solve cost — while a genuine
-/// per-iteration allocation would inflate every repeat alike.
+/// The counters are the calling thread's own ([`alloc::thread_stats`]), so
+/// tests running concurrently under the parallel harness cannot leak counts
+/// into each other. Lazy one-time initialization on this thread can still
+/// land inside the first window; noise only ever *adds* counts, so the
+/// minimum over a few repeats recovers the deterministic per-solve cost —
+/// while a genuine per-iteration allocation would inflate every repeat
+/// alike.
 fn alloc_delta<Op, P>(
     op: &Op,
     precond: &P,
@@ -48,14 +50,36 @@ where
     let x0 = vec![0.0; b.len()];
     (0..3)
         .map(|_| {
-            let start = alloc::stats();
+            let start = alloc::thread_stats();
             let res = fgmres_with(op, precond, b, &x0, cfg, ws);
-            let delta = alloc::stats().since(start);
+            let delta = alloc::thread_stats().since(start);
             assert!(res.x.iter().all(|v| v.is_finite()));
             delta.count
         })
         .min()
         .unwrap()
+}
+
+/// The per-thread counters are what make the tests below safe under the
+/// parallel harness: another thread's allocations reach the process-wide
+/// counters but never the calling thread's.
+#[test]
+fn thread_stats_exclude_other_threads() {
+    assert!(alloc::is_counting(), "counting allocator not installed");
+    let (p0, t0) = (alloc::stats(), alloc::thread_stats());
+    std::thread::spawn(|| std::hint::black_box(vec![0u8; 1 << 20]))
+        .join()
+        .unwrap();
+    let (p1, t1) = (alloc::stats(), alloc::thread_stats());
+    assert!(
+        p1.since(p0).bytes >= 1 << 20,
+        "process-wide counters missed it"
+    );
+    assert!(
+        t1.since(t0).bytes < 1 << 20,
+        "spawned thread's allocation leaked into this thread: {:?}",
+        t1.since(t0)
+    );
 }
 
 #[test]

@@ -433,20 +433,92 @@ fn lowrank_modes(
 /// estimate of `λ_max(D_A⁻¹ A)` from a fixed start vector — deterministic,
 /// and accurate enough that overshoot (which would *amplify* the high end)
 /// cannot happen for the mild spectra produced by norm-1 scaling.
+///
+/// Cost: per mode and pass, one row walk over the frontier (the rows the
+/// previous pass added — the neighbours of older rows are already in the
+/// support) plus one row dot product per support row, i.e. O(footprint ×
+/// stencil width), and one sort of the final support. Each `y_r` is the
+/// same sequential CSR row sum and each `z_r` update is independent of the
+/// others, so the result does not depend on the order rows are visited.
 fn smooth_prolongator(modes: &mut [Vec<(usize, f64)>], a_scaled: &CsrMatrix, passes: usize) {
     let n = a_scaled.n_rows();
-    let diag = a_scaled.diagonal();
-    let inv_diag: Vec<f64> = diag
+    let inv_diag = inverse_diagonal(a_scaled);
+    let omega = smoothing_damping(a_scaled, &inv_diag);
+    // Dense mode values `z`, a membership marker and the support list are
+    // shared by all modes and reset over the support after each one.
+    let mut z = vec![0.0; n];
+    let mut in_supp = vec![false; n];
+    let mut supp: Vec<usize> = Vec::new();
+    let mut y: Vec<f64> = Vec::new();
+    for col in modes.iter_mut() {
+        if col.is_empty() {
+            continue;
+        }
+        for &(g, val) in col.iter() {
+            if !in_supp[g] {
+                in_supp[g] = true;
+                supp.push(g);
+            }
+            z[g] = val;
+        }
+        let mut frontier = 0;
+        for _ in 0..passes {
+            let old_len = supp.len();
+            for k in frontier..old_len {
+                let (cols, _) = a_scaled.row(supp[k]);
+                for &j in cols {
+                    if !in_supp[j] {
+                        in_supp[j] = true;
+                        supp.push(j);
+                    }
+                }
+            }
+            frontier = old_len;
+            y.clear();
+            for &r in &supp {
+                let (cols, vals) = a_scaled.row(r);
+                let mut acc = 0.0;
+                for (&j, &a_rj) in cols.iter().zip(vals) {
+                    acc += a_rj * z[j];
+                }
+                y.push(acc);
+            }
+            for (&r, &yr) in supp.iter().zip(&y) {
+                z[r] -= omega * yr * inv_diag[r];
+            }
+        }
+        supp.sort_unstable();
+        col.clear();
+        for &g in &supp {
+            if z[g] != 0.0 {
+                col.push((g, z[g]));
+            }
+            z[g] = 0.0;
+            in_supp[g] = false;
+        }
+        supp.clear();
+    }
+}
+
+/// `D_A⁻¹` of the smoothing step, with zero where the diagonal is zero.
+fn inverse_diagonal(a: &CsrMatrix) -> Vec<f64> {
+    a.diagonal()
         .iter()
         .map(|&q| if q != 0.0 { 1.0 / q } else { 0.0 })
-        .collect();
-    // λ̂ ≈ λ_max(D_A⁻¹ A) by power iteration on the diagonally
-    // preconditioned operator, started from the all-ones vector.
+        .collect()
+}
+
+/// The smoothing damping `ω = 4/(3 λ̂)`, with `λ̂ ≈ λ_max(D_A⁻¹ A)` from 12
+/// power-iteration steps on the diagonally preconditioned operator, started
+/// from the all-ones vector (two reused buffers, no per-step allocation).
+fn smoothing_damping(a: &CsrMatrix, inv_diag: &[f64]) -> f64 {
+    let n = a.n_rows();
     let mut v = vec![1.0; n];
+    let mut w = vec![0.0; n];
     let mut lambda = 1.0;
     for _ in 0..12 {
-        let mut w = a_scaled.spmv(&v);
-        for (wi, &qi) in w.iter_mut().zip(&inv_diag) {
+        a.spmv_into(&v, &mut w);
+        for (wi, &qi) in w.iter_mut().zip(inv_diag) {
             *wi *= qi;
         }
         let norm = norm2(&w);
@@ -459,48 +531,7 @@ fn smooth_prolongator(modes: &mut [Vec<(usize, f64)>], a_scaled: &CsrMatrix, pas
             *vi = wi * inv;
         }
     }
-    let omega = 4.0 / (3.0 * lambda.max(f64::MIN_POSITIVE));
-    // Support-local sparse application: each pass only touches the mode's
-    // current support plus one stencil layer (A is structurally symmetric,
-    // so the neighbors of the support are found by walking its rows), so
-    // the cost per mode is proportional to its footprint, not to `n`.
-    let mut z = vec![0.0; n];
-    for col in modes.iter_mut() {
-        if col.is_empty() {
-            continue;
-        }
-        let mut supp: std::collections::BTreeSet<usize> = col.iter().map(|&(g, _)| g).collect();
-        for &(g, val) in col.iter() {
-            z[g] = val;
-        }
-        for _ in 0..passes {
-            let mut reach = supp.clone();
-            for &i in &supp {
-                let (cols, _) = a_scaled.row(i);
-                reach.extend(cols.iter().copied());
-            }
-            let mut y = Vec::with_capacity(reach.len());
-            for &r in &reach {
-                let (cols, vals) = a_scaled.row(r);
-                let mut acc = 0.0;
-                for (&j, &a_rj) in cols.iter().zip(vals) {
-                    acc += a_rj * z[j];
-                }
-                y.push((r, acc));
-            }
-            for (r, yr) in y {
-                z[r] -= omega * yr * inv_diag[r];
-            }
-            supp = reach;
-        }
-        col.clear();
-        for &g in &supp {
-            if z[g] != 0.0 {
-                col.push((g, z[g]));
-            }
-            z[g] = 0.0;
-        }
-    }
+    4.0 / (3.0 * lambda.max(f64::MIN_POSITIVE))
 }
 
 /// Assembles the Galerkin coarse operator `A_c = Ẑᵀ A Ẑ` as a sparse
@@ -891,6 +922,106 @@ mod tests {
             .collect();
         let mult = vec![1.0; n];
         (a, parts, mult)
+    }
+
+    /// The paper's 2-D cantilever (16x4, left edge clamped, so clamped dofs
+    /// are identity rows), norm-1 scaled, with the unsmoothed rigid-body
+    /// modes of four vertical node strips. Also returns the clamp mask.
+    fn elasticity_fixture() -> (CsrMatrix, CoarseBasis, Vec<bool>) {
+        use parfem_fem::{assembly, Material};
+        use parfem_mesh::{DofMap, Edge, QuadMesh};
+        let mesh = QuadMesh::cantilever(16, 4);
+        let mut dm = DofMap::new(mesh.n_nodes());
+        dm.clamp_edge(&mesh, Edge::Left);
+        let loads = vec![0.0; dm.n_dofs()];
+        let sys = assembly::build_static(&mesh, &dm, &Material::unit(), &loads);
+        let (a, _, sc) = parfem_sparse::scaling::scale_system(&sys.stiffness, &sys.rhs).unwrap();
+        let n_parts = 4;
+        let mut parts = vec![CoarsePartGeometry::default(); n_parts];
+        for node in 0..mesh.n_nodes() {
+            let column = node % (mesh.nx() + 1);
+            let geo = &mut parts[column * n_parts / (mesh.nx() + 1)];
+            let [x, y] = mesh.node_coords(node);
+            for c in 0..2 {
+                let g = dm.dof(node, c);
+                geo.dofs.push(g);
+                geo.pos.push([x, y, 0.0]);
+                geo.comp.push(c);
+                geo.constrained.push(dm.is_fixed(g));
+            }
+        }
+        let mult = vec![1.0; a.n_rows()];
+        let plain = build_coarse_basis(&CoarseSpec::Rbm, &parts, &mult, sc.diagonal(), &a, 1e-12);
+        let fixed = (0..a.n_rows()).map(|g| dm.is_fixed(g)).collect();
+        (a, plain, fixed)
+    }
+
+    /// After `k` passes a mode's support is exactly the `k`-layer graph
+    /// neighbourhood of its unsmoothed support in `A`, minus the entries
+    /// that come out exactly zero — checked against full-length Jacobi
+    /// passes over every row, value for value and bit for bit, so the
+    /// frontier-only walk can neither miss a row nor add one.
+    #[test]
+    fn smoothing_widens_support_by_graph_layers_on_elasticity() {
+        let (a, basis, fixed) = elasticity_fixture();
+        let plain = basis.modes;
+        let n = a.n_rows();
+        let inv_diag = inverse_diagonal(&a);
+        let omega = smoothing_damping(&a, &inv_diag);
+        let mut prev_len: Vec<usize> = plain.iter().map(Vec::len).collect();
+        for passes in 1..=3 {
+            let mut smoothed = plain.clone();
+            smooth_prolongator(&mut smoothed, &a, passes);
+            for (m, (sm, pl)) in smoothed.iter().zip(&plain).enumerate() {
+                let mut layer = vec![false; n];
+                for &(g, _) in pl {
+                    layer[g] = true;
+                }
+                for _ in 0..passes {
+                    let inner = layer.clone();
+                    for r in (0..n).filter(|&r| inner[r]) {
+                        for &j in a.row(r).0 {
+                            layer[j] = true;
+                        }
+                    }
+                }
+                let mut z = vec![0.0; n];
+                for &(g, v) in pl {
+                    z[g] = v;
+                }
+                for _ in 0..passes {
+                    let y: Vec<f64> = (0..n)
+                        .map(|r| {
+                            let (cols, vals) = a.row(r);
+                            cols.iter()
+                                .zip(vals)
+                                .fold(0.0, |acc, (&j, &a_rj)| acc + a_rj * z[j])
+                        })
+                        .collect();
+                    for r in 0..n {
+                        z[r] -= omega * y[r] * inv_diag[r];
+                    }
+                }
+                assert!(
+                    (0..n).all(|r| layer[r] || z[r] == 0.0),
+                    "mode {m}, {passes} passes: reference reached past {passes} layers"
+                );
+                let want: Vec<(usize, f64)> = (0..n)
+                    .filter(|&r| layer[r] && z[r] != 0.0)
+                    .map(|r| (r, z[r]))
+                    .collect();
+                assert_eq!(sm, &want, "mode {m}, {passes} passes: support or values");
+                assert!(
+                    sm.iter().all(|&(g, _)| !fixed[g]),
+                    "mode {m}: a clamped dof entered the support"
+                );
+                assert!(
+                    sm.len() > prev_len[m],
+                    "mode {m}: pass {passes} must widen the support"
+                );
+                prev_len[m] = sm.len();
+            }
+        }
     }
 
     #[test]

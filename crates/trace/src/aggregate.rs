@@ -2,7 +2,7 @@
 //! per-rank phase breakdowns, communication counts, and a convergence
 //! record — everything the `--profile` table and `parfem report` print.
 
-use crate::event::{EventKind, TraceEvent};
+use crate::event::{EventKind, TraceEvent, Value};
 use crate::metrics::Histogram;
 
 /// Communication totals for one rank, reconstructed by *counting events*
@@ -64,6 +64,10 @@ pub struct PhaseTotals {
     pub first_open_virt: f64,
     /// Virtual time at which the phase last closed.
     pub last_close_virt: f64,
+    /// Fields carried by the phase's closing span events (e.g. the
+    /// `coarse-build` sizes), in first-seen key order; a later close
+    /// overwrites an earlier value of the same key.
+    pub fields: Vec<(String, Value)>,
 }
 
 /// Everything reconstructed for one rank.
@@ -169,6 +173,7 @@ impl RankAcc {
                 count: 0,
                 first_open_virt: open_virt,
                 last_close_virt: open_virt,
+                fields: Vec::new(),
             });
             self.phases.last_mut().unwrap()
         }
@@ -190,6 +195,12 @@ impl RankAcc {
                     entry.virt_s += (ev.t_virt - v0).max(0.0);
                     entry.count += 1;
                     entry.last_close_virt = entry.last_close_virt.max(ev.t_virt);
+                    for (k, v) in &ev.fields {
+                        match entry.fields.iter_mut().find(|(name, _)| name == k) {
+                            Some(slot) => slot.1 = v.clone(),
+                            None => entry.fields.push((k.clone(), v.clone())),
+                        }
+                    }
                 }
             }
             EventKind::Send => {
@@ -375,6 +386,43 @@ mod tests {
         assert!((fg.virt_s - 4.0).abs() < 1e-12);
         assert!((fg.first_open_virt - 0.0).abs() < 1e-12);
         assert!((fg.last_close_virt - 4.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn span_end_fields_attach_to_the_phase() {
+        let events = vec![
+            ev(None, 0.0, EventKind::SpanBegin, "coarse-build", vec![]),
+            ev(
+                None,
+                1.0,
+                EventKind::SpanEnd,
+                "coarse-build",
+                vec![
+                    ("coarse_modes".into(), 6usize.into()),
+                    ("prolong_nnz".into(), 40usize.into()),
+                ],
+            ),
+            ev(None, 1.0, EventKind::SpanBegin, "coarse-build", vec![]),
+            ev(
+                None,
+                2.0,
+                EventKind::SpanEnd,
+                "coarse-build",
+                vec![("prolong_nnz".into(), 50usize.into())],
+            ),
+        ];
+        let report = TraceReport::from_events(&events);
+        let cb = &report.host_phases[0];
+        assert_eq!(cb.count, 2);
+        assert_eq!(
+            cb.fields,
+            vec![
+                ("coarse_modes".to_string(), Value::U64(6)),
+                ("prolong_nnz".to_string(), Value::U64(50)),
+            ]
+        );
+        let table = crate::report::render_phase_table(&report);
+        assert!(table.contains("coarse_modes=6  prolong_nnz=50"), "{table}");
     }
 
     #[test]

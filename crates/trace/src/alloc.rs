@@ -15,6 +15,12 @@
 //! the solve drivers skip emitting `alloc_bytes` / `alloc_count` fields, so
 //! traces never carry misleading zeros.
 //!
+//! Every allocation is also counted in const-initialized thread-local cells,
+//! read through [`thread_stats`]. A region measured with [`thread_stats`]
+//! sees only its own thread's traffic, so concurrent tests (the default
+//! parallel harness) cannot leak counts into each other. Use [`stats`] when
+//! the region spawns threads whose allocations must count too.
+//!
 //! Deallocations are deliberately not subtracted: the counters measure
 //! allocator *traffic* (how often the hot path hits `malloc`), which is the
 //! quantity the zero-allocation Krylov workspace is designed to eliminate.
@@ -23,11 +29,19 @@
 #![allow(unsafe_code)]
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 static ALLOC_CALLS: AtomicU64 = AtomicU64::new(0);
 static ALLOC_BYTES: AtomicU64 = AtomicU64::new(0);
 static INSTALLED: AtomicBool = AtomicBool::new(false);
+
+thread_local! {
+    // Const-initialized and drop-free: reaching them never allocates and
+    // registers no destructor, so the allocator can touch them re-entrantly.
+    static THREAD_CALLS: Cell<u64> = const { Cell::new(0) };
+    static THREAD_BYTES: Cell<u64> = const { Cell::new(0) };
+}
 
 /// A `#[global_allocator]` that counts allocations into process globals.
 pub struct CountingAlloc;
@@ -64,6 +78,10 @@ fn note_alloc(bytes: usize) {
     }
     ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
     ALLOC_BYTES.fetch_add(bytes as u64, Ordering::Relaxed);
+    // `try_with` fails only after the thread's TLS is torn down; an
+    // allocation that late is simply not attributed to the thread.
+    let _ = THREAD_CALLS.try_with(|c| c.set(c.get() + 1));
+    let _ = THREAD_BYTES.try_with(|c| c.set(c.get() + bytes as u64));
 }
 
 /// Cumulative allocation counters at one instant; subtract two snapshots to
@@ -92,6 +110,16 @@ pub fn stats() -> AllocStats {
     AllocStats {
         count: ALLOC_CALLS.load(Ordering::Relaxed),
         bytes: ALLOC_BYTES.load(Ordering::Relaxed),
+    }
+}
+
+/// Current cumulative counters of the calling thread alone (zeros unless
+/// [`CountingAlloc`] is installed). Allocations made by other threads —
+/// including threads the caller spawns — never appear here.
+pub fn thread_stats() -> AllocStats {
+    AllocStats {
+        count: THREAD_CALLS.with(Cell::get),
+        bytes: THREAD_BYTES.with(Cell::get),
     }
 }
 

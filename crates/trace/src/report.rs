@@ -3,6 +3,7 @@
 //! ASCII per-rank timeline over virtual time.
 
 use crate::aggregate::TraceReport;
+use crate::event::Value;
 use std::fmt::Write as _;
 
 fn fmt_secs(s: f64) -> String {
@@ -57,13 +58,21 @@ pub fn render_phase_table(report: &TraceReport) -> String {
     if !report.host_phases.is_empty() {
         let _ = writeln!(out, "host phases (wall clock)");
         for phase in &report.host_phases {
-            let _ = writeln!(
+            let _ = write!(
                 out,
                 "{:>5}  {:>14}  x{}",
                 phase.name,
                 fmt_secs(phase.wall_s),
                 phase.count
             );
+            for (k, v) in &phase.fields {
+                let _ = match v {
+                    Value::U64(x) => write!(out, "  {k}={x}"),
+                    Value::F64(x) => write!(out, "  {k}={x}"),
+                    Value::Str(x) => write!(out, "  {k}={x}"),
+                };
+            }
+            let _ = writeln!(out);
         }
     }
 

@@ -142,6 +142,12 @@ impl RankTracer {
         self.emit(EventKind::SpanEnd, name, t_virt, Vec::new());
     }
 
+    /// Closes the most recent open span with this name, attaching `fields`
+    /// that describe the work done inside it (sizes, counts).
+    pub fn span_end_with(&self, name: &str, t_virt: f64, fields: Vec<(String, Value)>) {
+        self.emit(EventKind::SpanEnd, name, t_virt, fields);
+    }
+
     /// Emits a point-in-time annotation.
     pub fn instant(&self, name: &str, t_virt: f64, fields: Vec<(String, Value)>) {
         self.emit(EventKind::Instant, name, t_virt, fields);
