@@ -384,3 +384,60 @@ fn coarse_build_span_describes_the_basis() {
         assert!(line.contains(key), "{key} missing from: {line}");
     }
 }
+
+/// Rank-side phases carry measured wall time next to virtual time: the
+/// `direct` factorization runs inside `precond-build`, which the machine
+/// model charges nothing, so only the wall-clock table shows its cost.
+#[test]
+fn direct_precond_build_reports_wall_time_on_every_rank() {
+    let (mesh, dm, mat, loads) = problem(24, 6);
+    let part = ElementPartition::strips_x(&mesh, 3);
+    let sink = TraceSink::recording();
+    let out = SolveSession::new(Problem::new(&mesh, &dm, &mat, &loads))
+        .strategy(Strategy::Edd(part))
+        .config(SolverConfig {
+            precond: PrecondSpec::parse("direct").unwrap(),
+            ..cfg()
+        })
+        .trace(&sink)
+        .run()
+        .expect("fault-free direct solve");
+    assert!(out.history.converged());
+
+    let mut buf = Vec::new();
+    sink.write_jsonl(&mut buf).unwrap();
+    let events = jsonl::decode_all(std::str::from_utf8(&buf).unwrap()).unwrap();
+    let report = TraceReport::from_events(&events);
+    assert_eq!(report.ranks.len(), 3);
+    for rank in &report.ranks {
+        let build = rank
+            .phases
+            .iter()
+            .find(|p| p.name == "precond-build")
+            .unwrap_or_else(|| panic!("rank {} has no precond-build phase", rank.rank));
+        assert!(
+            build.wall_s > 0.0,
+            "rank {} precond-build wall time {}",
+            rank.rank,
+            build.wall_s
+        );
+    }
+
+    let table = render_phase_table(&report);
+    let wall = table
+        .split("per-rank phase breakdown (wall clock)\n")
+        .nth(1)
+        .expect("phase table has a wall-clock section");
+    let mut lines = wall.lines();
+    let header: Vec<&str> = lines.next().unwrap().split_whitespace().collect();
+    let col = header
+        .iter()
+        .position(|&h| h == "precond-build")
+        .expect("wall-clock header names precond-build");
+    for rank in 0..3 {
+        let row: Vec<&str> = lines.next().unwrap().split_whitespace().collect();
+        assert_eq!(row[0], rank.to_string());
+        assert_ne!(row[col], "0", "rank {rank} wall cell: {row:?}");
+        assert_ne!(row[col], "-", "rank {rank} wall cell: {row:?}");
+    }
+}

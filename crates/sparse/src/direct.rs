@@ -108,6 +108,34 @@ pub fn rcm_ordering(a: &CsrMatrix) -> Vec<usize> {
     order
 }
 
+/// The unfactored profile of `P A Pᵀ`: row `new` starts at the smallest
+/// permuted column among its structural neighbours, and is filled by
+/// scattering CSR row `perm[new]` through `iperm` — `O(nnz)` on top of the
+/// zeroed profile.
+fn permuted_profile(a: &CsrMatrix, perm: &[usize], iperm: &[usize]) -> SkylineLdlt {
+    let start: Vec<usize> = perm
+        .iter()
+        .enumerate()
+        .map(|(new, &old)| {
+            let (cols, _) = a.row(old);
+            cols.iter()
+                .map(|&j| iperm[j])
+                .filter(|&pj| pj <= new)
+                .min()
+                .unwrap_or(new)
+        })
+        .collect();
+    let mut profile = SkylineLdlt::with_profile(start);
+    for (new, &old) in perm.iter().enumerate() {
+        let (cols, vals) = a.row(old);
+        profile.scatter_row(
+            new,
+            cols.iter().map(|&j| iperm[j]).zip(vals.iter().copied()),
+        );
+    }
+    profile
+}
+
 impl SparseDirect {
     /// Orders and factors a symmetric sparse matrix. Near-zero pivots
     /// (relative to the largest diagonal magnitude, see
@@ -125,22 +153,8 @@ impl SparseDirect {
         for (new, &old) in perm.iter().enumerate() {
             iperm[old] = new;
         }
-        // Profile of the permuted matrix: row `new` starts at the smallest
-        // permuted column among its structural neighbours.
-        let start: Vec<usize> = perm
-            .iter()
-            .enumerate()
-            .map(|(new, &old)| {
-                let (cols, _) = a.row(old);
-                cols.iter()
-                    .map(|&j| iperm[j])
-                    .filter(|&pj| pj <= new)
-                    .min()
-                    .unwrap_or(new)
-            })
-            .collect();
-        let factor =
-            SkylineLdlt::factor_profile(n, start, |i, j| a.get(perm[i], perm[j]), pivot_tol);
+        let mut factor = permuted_profile(a, &perm, &iperm);
+        factor.factor_in_place(pivot_tol);
         SparseDirect {
             perm,
             iperm,
@@ -349,5 +363,94 @@ mod tests {
         let mut scratch = vec![0.0; f.dim()];
         f.solve_in_place_with(&mut x2, &mut scratch);
         assert_eq!(x1, x2);
+    }
+
+    /// Plane-stress bilinear-quad elasticity stiffness of an `nx × ny`
+    /// grid of unit squares (E = 1, ν = 0.3, 2×2 Gauss), two dofs per
+    /// node, no supports — the shape of an assembled floating subdomain.
+    fn quad4_elasticity(nx: usize, ny: usize) -> CsrMatrix {
+        let nu = 0.3;
+        let c = 1.0 / (1.0 - nu * nu);
+        let d = [
+            [c, c * nu, 0.0],
+            [c * nu, c, 0.0],
+            [0.0, 0.0, c * (1.0 - nu) / 2.0],
+        ];
+        let corners = [(-1.0, -1.0), (1.0, -1.0), (1.0, 1.0), (-1.0, 1.0)];
+        let g = 1.0 / 3f64.sqrt();
+        let mut ke = [[0.0; 8]; 8];
+        for (xi, eta) in [(-g, -g), (g, -g), (g, g), (-g, g)] {
+            // dN/dx = 2 dN/dξ on a unit square; det J = 1/4.
+            let mut b = [[0.0; 8]; 3];
+            for (a, &(xa, ya)) in corners.iter().enumerate() {
+                let dx = 0.5 * xa * (1.0 + ya * eta);
+                let dy = 0.5 * ya * (1.0 + xa * xi);
+                b[0][2 * a] = dx;
+                b[1][2 * a + 1] = dy;
+                b[2][2 * a] = dy;
+                b[2][2 * a + 1] = dx;
+            }
+            for p in 0..8 {
+                for q in 0..8 {
+                    let mut sum = 0.0;
+                    for r in 0..3 {
+                        for t in 0..3 {
+                            sum += b[r][p] * d[r][t] * b[t][q];
+                        }
+                    }
+                    ke[p][q] += 0.25 * sum;
+                }
+            }
+        }
+        let node = |i: usize, j: usize| j * (nx + 1) + i;
+        let n = 2 * (nx + 1) * (ny + 1);
+        let mut coo = CooMatrix::new(n, n);
+        for ey in 0..ny {
+            for ex in 0..nx {
+                let nodes = [
+                    node(ex, ey),
+                    node(ex + 1, ey),
+                    node(ex + 1, ey + 1),
+                    node(ex, ey + 1),
+                ];
+                let dofs: Vec<usize> = nodes.iter().flat_map(|&v| [2 * v, 2 * v + 1]).collect();
+                for p in 0..8 {
+                    for q in 0..8 {
+                        coo.push(dofs[p], dofs[q], ke[p][q]).unwrap();
+                    }
+                }
+            }
+        }
+        coo.to_csr()
+    }
+
+    #[test]
+    fn scatter_fill_matches_the_lookup_fill_on_elasticity() {
+        let a = quad4_elasticity(9, 4);
+        let n = a.n_rows();
+        let perm = rcm_ordering(&a);
+        let mut iperm = vec![0usize; n];
+        for (new, &old) in perm.iter().enumerate() {
+            iperm[old] = new;
+        }
+        let scattered = permuted_profile(&a, &perm, &iperm);
+        let (start, vals) = scattered.profile();
+        // The fill the scatter replaced: one binary search per profile
+        // entry, row by row.
+        let mut looked_up = Vec::with_capacity(vals.len());
+        for (i, &si) in start.iter().enumerate() {
+            looked_up.extend((si..=i).map(|j| a.get(perm[i], perm[j])));
+        }
+        let bits = |x: &[f64]| x.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(vals), bits(&looked_up));
+        assert!(
+            vals.len() > a.nnz() / 2,
+            "profile covers the lower triangle"
+        );
+        // Unsupported plane elasticity: the three rigid-body pivots skip.
+        assert_eq!(
+            SparseDirect::factorize(&a, DEFAULT_PIVOT_TOL).n_skipped(),
+            3
+        );
     }
 }

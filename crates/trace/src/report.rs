@@ -21,7 +21,10 @@ fn fmt_secs(s: f64) -> String {
 }
 
 /// Renders the per-rank phase breakdown: one column per phase (in first-seen
-/// order), virtual seconds per cell, a host-phase section (wall-clock) below.
+/// order), virtual seconds per cell, then the same cells in wall-clock
+/// seconds — the measured time the model leaves out (a factorization in
+/// `precond-build` costs no virtual time) — and a host-phase section
+/// (wall-clock) below.
 pub fn render_phase_table(report: &TraceReport) -> String {
     let mut out = String::new();
     let mut phase_names: Vec<String> = Vec::new();
@@ -34,25 +37,10 @@ pub fn render_phase_table(report: &TraceReport) -> String {
     }
 
     let _ = writeln!(out, "per-rank phase breakdown (virtual time)");
-    let mut header = format!("{:>5}", "rank");
-    for name in &phase_names {
-        let _ = write!(header, "  {name:>14}");
-    }
-    let _ = write!(header, "  {:>14}", "end-of-rank");
-    let _ = writeln!(out, "{header}");
-    for rank in &report.ranks {
-        let mut row = format!("{:>5}", rank.rank);
-        for name in &phase_names {
-            let cell = rank
-                .phases
-                .iter()
-                .find(|p| &p.name == name)
-                .map(|p| fmt_secs(p.virt_s))
-                .unwrap_or_else(|| "-".to_string());
-            let _ = write!(row, "  {cell:>14}");
-        }
-        let _ = write!(row, "  {:>14}", fmt_secs(rank.final_virt));
-        let _ = writeln!(out, "{row}");
+    render_rank_phases(&mut out, report, &phase_names, false);
+    if !report.ranks.is_empty() {
+        let _ = writeln!(out, "per-rank phase breakdown (wall clock)");
+        render_rank_phases(&mut out, report, &phase_names, true);
     }
 
     if !report.host_phases.is_empty() {
@@ -88,6 +76,36 @@ pub fn render_phase_table(report: &TraceReport) -> String {
         }
     }
     out
+}
+
+/// One row per rank, one column per phase in `phase_names`: wall-clock
+/// seconds per cell when `wall`, else virtual seconds plus the rank's
+/// final virtual clock.
+fn render_rank_phases(out: &mut String, report: &TraceReport, phase_names: &[String], wall: bool) {
+    let mut header = format!("{:>5}", "rank");
+    for name in phase_names {
+        let _ = write!(header, "  {name:>14}");
+    }
+    if !wall {
+        let _ = write!(header, "  {:>14}", "end-of-rank");
+    }
+    let _ = writeln!(out, "{header}");
+    for rank in &report.ranks {
+        let mut row = format!("{:>5}", rank.rank);
+        for name in phase_names {
+            let cell = rank
+                .phases
+                .iter()
+                .find(|p| &p.name == name)
+                .map(|p| fmt_secs(if wall { p.wall_s } else { p.virt_s }))
+                .unwrap_or_else(|| "-".to_string());
+            let _ = write!(row, "  {cell:>14}");
+        }
+        if !wall {
+            let _ = write!(row, "  {:>14}", fmt_secs(rank.final_virt));
+        }
+        let _ = writeln!(out, "{row}");
+    }
 }
 
 /// Renders event-counted communication totals per rank plus a sum row, and
